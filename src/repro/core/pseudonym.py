@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.client import PastClient
 from repro.core.files import RealData
@@ -66,9 +66,6 @@ class UserAgent:
 
     def pseudonym(self, label: str) -> PastClient:
         return self._pseudonyms[label]
-
-    def pseudonym_labels(self) -> List[str]:
-        return sorted(self._pseudonyms)
 
     def _pick_pseudonym(self, label: Optional[str]) -> PastClient:
         if label is not None:

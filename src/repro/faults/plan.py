@@ -125,9 +125,6 @@ class FaultPlan:
         ``slow_factor`` in any :class:`FaultyLatency`-wrapped model."""
         self.slow_nodes.add(node_id)
 
-    def clear_slow(self, node_id: int) -> None:
-        self.slow_nodes.discard(node_id)
-
     # ------------------------------------------------------------------ #
     # message-level faults
     # ------------------------------------------------------------------ #

@@ -100,10 +100,6 @@ class FunctionInfo:
     is_async: bool
     awaits: List[ast.Await] = field(default_factory=list)
 
-    @property
-    def await_lines(self) -> List[int]:
-        return [node.lineno for node in self.awaits]
-
 
 @dataclass
 class ClassInfo:

@@ -273,7 +273,7 @@ class LiveNode:
             obs.metrics.histogram("live.route.hops").add(
                 max(len(message.payload["path"]) - 1, 0)
             )
-        self.cluster._resolve_route(message.payload["request_id"], message.payload["path"])
+        self.cluster._resolve(message.payload["request_id"], message.payload["path"])
 
     async def _on_join_request(self, message: Message) -> None:
         """Contact-node side: start the join route towards X's id."""
@@ -533,7 +533,8 @@ class LiveCluster:
             if getattr(self.obs, "timeseries", None) is None:
                 self.obs.timeseries = TimeSeriesRecorder()
         self.nodes: Dict[int, LiveNode] = {}
-        self._route_futures: Dict[int, asyncio.Future] = {}
+        # request_id -> reply future, shared by routes and storage ops.
+        self._futures: Dict[int, asyncio.Future] = {}
         self._request_ids = itertools.count(1)
 
     # ------------------------------------------------------------------ #
@@ -548,12 +549,16 @@ class LiveCluster:
                 node_id = self.space.random_id(rng)
         self.topology.add_endpoint(node_id)
         self.transport.register(node_id)
-        node = LiveNode(self, node_id)
+        node = self._new_node(node_id)
         self.nodes[node_id] = node
         if self.obs.enabled:
             self.obs.metrics.gauge("live.nodes").increment()
         node.start()
         return node
+
+    def _new_node(self, node_id: int) -> LiveNode:
+        """The node class this cluster runs (subclasses override)."""
+        return LiveNode(self, node_id)
 
     def _nearest_contact(self, newcomer: LiveNode, joined: List[int]) -> int:
         return min(
@@ -666,10 +671,10 @@ class LiveCluster:
         """Ground truth for verification (never used by the protocol)."""
         return self.space.closest(key, iter(self.live_ids()))
 
-    def _resolve_route(self, request_id: int, path: List[int]) -> None:
-        future = self._route_futures.pop(request_id, None)
+    def _resolve(self, request_id: int, result) -> None:
+        future = self._futures.pop(request_id, None)
         if future is not None and not future.done():
-            future.set_result(path)
+            future.set_result(result)
 
     def _emit_retry(self, op: str, attempt: int, delay: float,
                     request_id: int) -> None:
@@ -683,22 +688,39 @@ class LiveCluster:
                     timeout: float = ROUTE_TIMEOUT) -> List[int]:
         """Route *key* from *origin*; returns the path (origin..root).
 
-        Runs under the cluster's retry policy: each attempt gets an equal
-        share of *timeout*; a lost message triggers exponential backoff
-        and a re-send that routes via randomized alternates (claim C7).
-        Exhausting every attempt raises :class:`DegradedError` -- the
-        caller degrades instead of hanging on one lost reply -- carrying
-        the full attempt history (span ids, backoff delays, reroute
-        seeds) and the trace id of the operation's span tree.
-
-        Each client route is one trace: a ``live.route`` root span, one
+        Runs under the cluster's retry policy (see :meth:`_call`).  Each
+        client route is one trace: a ``live.route`` root span, one
         "attempt" child per (re)send whose context travels inside the
         route payload, and under each attempt the hop chain the message
         actually took.
         """
+        return await self._call(
+            "route", origin,
+            {"key": key, "origin": origin, "purpose": "lookup"},
+            timeout=timeout,
+        )
+
+    async def _call(self, op: str, origin: int, payload: dict,
+                    timeout: float = ROUTE_TIMEOUT):
+        """Route *payload* from *origin* under the retry policy; returns
+        whatever the reply resolves ``request_id`` with.
+
+        The request keeps one request_id across attempts, so a storage
+        root can recognise retries (resume a pending fan-out, replay a
+        completed result) instead of double-inserting.  Each attempt
+        gets an equal share of *timeout*; a lost message triggers
+        exponential backoff and a re-send that routes via randomized
+        alternates (claim C7).  Exhausting every attempt raises
+        :class:`DegradedError` -- the caller degrades instead of hanging
+        on one lost reply -- carrying the full attempt history (span
+        ids, backoff delays, reroute seeds) and the trace id of the
+        operation's ``live.<op>`` root span; the reply future is reaped
+        on the way out.
+        """
         request_id = next(self._request_ids)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._route_futures[request_id] = future
+        self._futures[request_id] = future
+        key = payload["key"]
         policy = self.retry
         attempt_timeout = timeout / policy.attempts
         obs = self.obs
@@ -713,25 +735,19 @@ class LiveCluster:
         delay = 0.0
         try:
             for attempt in range(policy.attempts):
-                payload = {
-                    "key": key,
-                    "origin": origin,
-                    "request_id": request_id,
-                    "trail": [],
-                    "purpose": "lookup",
-                }
+                attempt_payload = dict(payload, request_id=request_id, trail=[])
                 reroute_seed = None
                 if attempt > 0:
                     reroute_seed = stable_seed(
                         self.rngs.master_seed, request_id, attempt
                     )
-                    payload["randomized_seed"] = reroute_seed
+                    attempt_payload["randomized_seed"] = reroute_seed
                 attempt_ctx: Optional[TraceContext] = None
                 attempt_start = 0.0
                 if tracing:
                     attempt_ctx = root_ctx.child("attempt", attempt)
                     attempt_start = obs.traces.tick()
-                    payload["traceparent"] = attempt_ctx.to_traceparent()
+                    attempt_payload["traceparent"] = attempt_ctx.to_traceparent()
                 attempt_log.add(
                     attempt=attempt + 1,
                     span_id=attempt_ctx.span_id if attempt_ctx else "",
@@ -740,55 +756,52 @@ class LiveCluster:
                     reroute_seed=reroute_seed,
                 )
                 await self.transport.send(
-                    origin, Message(kind="route", sender=origin, payload=payload,
-                                    traceparent=payload.get("traceparent"))
+                    origin,
+                    Message(kind="route", sender=origin, payload=attempt_payload,
+                            traceparent=attempt_payload.get("traceparent")),
                 )
                 try:
-                    path = await asyncio.wait_for(
+                    result = await asyncio.wait_for(
                         asyncio.shield(future), attempt_timeout
                     )
+                    outcome = "delivered"
+                except asyncio.TimeoutError:
+                    outcome = "timeout"
+                if tracing:
+                    obs.traces.record(
+                        attempt_ctx, "attempt",
+                        start=attempt_start, end=obs.traces.tick(),
+                        attempt=attempt + 1, outcome=outcome,
+                        randomized=reroute_seed is not None,
+                    )
+                if outcome == "delivered":
                     if tracing:
                         obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="delivered",
-                            randomized=reroute_seed is not None,
-                        )
-                        obs.traces.record(
-                            root_ctx, "live.route",
+                            root_ctx, f"live.{op}",
                             start=root_start, end=obs.traces.tick(),
                             key=f"{key:x}", origin=f"{origin:x}",
-                            attempts=attempt + 1, path_length=len(path),
-                            outcome="ok",
+                            attempts=attempt + 1, outcome="ok",
                         )
-                    return path
-                except asyncio.TimeoutError:
-                    if tracing:
-                        obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="timeout",
-                            randomized=reroute_seed is not None,
-                        )
-                    if attempt + 1 >= policy.attempts:
-                        break
-                    delay = policy.backoff(attempt + 1, self._backoff_rng)
-                    self._emit_retry("route", attempt + 1, delay, request_id)
-                    await asyncio.sleep(delay)
+                    return result
+                if attempt + 1 >= policy.attempts:
+                    break
+                delay = policy.backoff(attempt + 1, self._backoff_rng)
+                self._emit_retry(op, attempt + 1, delay, request_id)
+                await asyncio.sleep(delay)
             if tracing:
                 obs.traces.record(
-                    root_ctx, "live.route",
+                    root_ctx, f"live.{op}",
                     start=root_start, end=obs.traces.tick(),
                     key=f"{key:x}", origin=f"{origin:x}",
                     attempts=policy.attempts, outcome="degraded",
                 )
             raise DegradedError(
-                "route", policy.attempts,
+                op, policy.attempts,
                 f"key {key:x} from {origin:x}: no reply",
                 history=attempt_log.as_tuple(),
                 trace_id=attempt_log.trace_id,
             )
         finally:
-            pending = self._route_futures.pop(request_id, None)
+            pending = self._futures.pop(request_id, None)
             if pending is not None and not pending.done():
                 pending.cancel()

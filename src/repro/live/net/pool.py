@@ -299,9 +299,6 @@ class NodePool:
             self._resynced_retired += endpoint.resynced_bytes
             self._poisoned_retired += endpoint.poisoned_connections
 
-    def links_idle(self) -> bool:
-        return all(link.queue.empty() for link in self._links.values())
-
     # ------------------------------------------------------------------ #
     # wire observability (read by SocketTransport.wire_stats)
     # ------------------------------------------------------------------ #

@@ -18,22 +18,19 @@ and are orthogonal to message concurrency.
 from __future__ import annotations
 
 import asyncio
-import itertools
 from typing import Dict, Optional
 
 from repro.core.certificates import FileCertificate
-from repro.core.errors import DegradedError
 from repro.core.files import FileData
 from repro.core.storage import FileStore
-from repro.faults.policy import AttemptLog
 from repro.live.cluster import ROUTE_TIMEOUT, LiveCluster, LiveNode
 from repro.live.transport import Message
 from repro.obs.trace_context import TraceContext
-from repro.sim.rng import stable_seed
 
-# Root-side pending inserts expire after this long: if the client has
-# stopped retrying (its own timeout is ROUTE_TIMEOUT) the entry is
-# garbage, and keeping it would strand the fan-out state forever.
+# Root-side insert state (the pending fan-out and the completed result)
+# expires after this long: the client has stopped retrying by then (its
+# own timeout is ROUTE_TIMEOUT), so the entries are garbage, and keeping
+# them would grow the root's tables forever.
 PENDING_INSERT_TTL = 2.5 * ROUTE_TIMEOUT
 
 
@@ -44,11 +41,12 @@ class LiveStorageNode(LiveNode):
                  capacity: int) -> None:
         super().__init__(cluster, node_id)
         self.store = FileStore(capacity)
-        # insert_id -> {"needed", "stored", "client", "expiry"} at the root.
+        # request_id -> {"needed", "stored", "client", ...} at the root.
         self._pending_inserts: Dict[int, dict] = {}
         # request_id -> final result payload: lets the root replay the
         # outcome when a retried insert arrives after completion (the
-        # original insert-result may have been lost in flight).
+        # original insert-result may have been lost in flight).  Both
+        # tables drop the entry PENDING_INSERT_TTL after the fan-out.
         self._completed_inserts: Dict[int, dict] = {}
 
     # ------------------------------------------------------------------ #
@@ -186,11 +184,11 @@ class LiveStorageNode(LiveNode):
             # from whichever ack completes the fan-out) stays on this
             # operation's trace.
             "traceparent": ctx.to_traceparent() if ctx is not None else None,
-            "expiry": asyncio.get_running_loop().call_later(
-                PENDING_INSERT_TTL, self._expire_pending_insert, request_id
-            ),
         }
         self._pending_inserts[request_id] = pending
+        asyncio.get_running_loop().call_later(
+            PENDING_INSERT_TTL, self._expire_pending_insert, request_id
+        )
         for replica_id in replica_ids:
             if replica_id == self.node_id:
                 stored = self._store_locally(certificate, payload["data"])
@@ -257,9 +255,11 @@ class LiveStorageNode(LiveNode):
             )
 
     def _expire_pending_insert(self, request_id: int) -> None:
-        """Drop a fan-out whose client stopped retrying; without this a
-        single lost ack would strand the pending entry forever."""
+        """Forget an insert once its client can no longer retry it: a
+        fan-out still pending (without this a single lost ack would
+        strand it forever) and a completed result kept for replay."""
         self._pending_inserts.pop(request_id, None)
+        self._completed_inserts.pop(request_id, None)
 
     def _store_locally(self, certificate: FileCertificate,
                        data: FileData) -> bool:
@@ -318,7 +318,7 @@ class LiveStorageNode(LiveNode):
         if pending is None:
             return
         if pending["stored"] >= pending["needed"]:
-            self._retire_pending(request_id, pending)
+            del self._pending_inserts[request_id]
             result = {
                 "request_id": request_id,
                 "success": True,
@@ -334,7 +334,7 @@ class LiveStorageNode(LiveNode):
         elif pending["needed"] - pending["stored"] and \
                 len(pending["needed"]) < pending["certificate"].replication_factor:
             # Someone refused: the insert cannot reach k replicas.
-            self._retire_pending(request_id, pending)
+            del self._pending_inserts[request_id]
             self._completed_inserts[request_id] = {
                 "request_id": request_id, "success": False,
                 "reason": "refused", "holders": [],
@@ -344,12 +344,6 @@ class LiveStorageNode(LiveNode):
                  "traceparent": pending.get("traceparent")},
                 "refused",
             )
-
-    def _retire_pending(self, request_id: int, pending: dict) -> None:
-        del self._pending_inserts[request_id]
-        expiry = pending.get("expiry")
-        if expiry is not None:
-            expiry.cancel()
 
     async def _insert_failed(self, payload: dict, reason: str) -> None:
         await self._send(
@@ -364,10 +358,10 @@ class LiveStorageNode(LiveNode):
         )
 
     async def _on_insert_result(self, message: Message) -> None:
-        self.cluster._resolve_request(message.payload["request_id"], message.payload)
+        self.cluster._resolve(message.payload["request_id"], message.payload)
 
     async def _on_lookup_result(self, message: Message) -> None:
-        self.cluster._resolve_request(message.payload["request_id"], message.payload)
+        self.cluster._resolve(message.payload["request_id"], message.payload)
 
 
 class LiveStorageCluster(LiveCluster):
@@ -376,157 +370,32 @@ class LiveStorageCluster(LiveCluster):
     def __init__(self, seed: int = 0, node_capacity: int = 1 << 24, **kwargs) -> None:
         super().__init__(seed, **kwargs)
         self.node_capacity = node_capacity
-        self._request_futures: Dict[int, asyncio.Future] = {}
-        self._op_ids = itertools.count(10_000)
 
-    def _create_node(self, node_id: Optional[int] = None) -> LiveNode:
-        rng = self.rngs.stream("node-ids")
-        if node_id is None:
-            node_id = self.space.random_id(rng)
-            while node_id in self.nodes:
-                node_id = self.space.random_id(rng)
-        self.topology.add_endpoint(node_id)
-        self.transport.register(node_id)
-        node = LiveStorageNode(self, node_id, self.node_capacity)
-        self.nodes[node_id] = node
-        node.start()
-        return node
-
-    def _resolve_request(self, request_id: int, payload: dict) -> None:
-        future = self._request_futures.pop(request_id, None)
-        if future is not None and not future.done():
-            future.set_result(payload)
-
-    async def _request(self, origin: int, payload: dict,
-                       timeout: float = ROUTE_TIMEOUT) -> dict:
-        """Issue a storage request under the retry policy.
-
-        The request keeps one request_id across attempts so the root can
-        recognise retries (resume a pending fan-out, replay a completed
-        result) instead of double-inserting.  The old one-shot
-        ``wait_for(future, timeout)`` stranded the future and the root's
-        fan-out state whenever a single reply was lost; now each attempt
-        gets a share of *timeout*, retries reroute via randomized
-        alternates, and exhaustion raises :class:`DegradedError` with the
-        pending entry cleaned up.
-
-        Each storage operation is one trace (a ``live.past-insert`` /
-        ``live.past-lookup`` root span); attempt contexts travel inside
-        the payload exactly as in :meth:`LiveCluster.route`, so the
-        assembled tree shows routing hops, the root's replica fan-out,
-        en-route serves, and every retry.
-        """
-        request_id = next(self._op_ids)
-        op = payload.get("purpose", "request")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._request_futures[request_id] = future
-        policy = self.retry
-        attempt_timeout = timeout / policy.attempts
-        obs = self.obs
-        tracing = obs.enabled
-        root_ctx: Optional[TraceContext] = None
-        attempt_log = AttemptLog()
-        root_start = 0.0
-        if tracing:
-            root_ctx = TraceContext.root(self._trace_rng)
-            attempt_log.trace_id = root_ctx.trace_id
-            root_start = obs.traces.tick()
-        delay = 0.0
-        try:
-            for attempt in range(policy.attempts):
-                attempt_payload = dict(payload)
-                attempt_payload["request_id"] = request_id
-                attempt_payload["client"] = origin
-                attempt_payload["trail"] = []
-                reroute_seed = None
-                if attempt > 0:
-                    reroute_seed = stable_seed(
-                        self.rngs.master_seed, request_id, attempt
-                    )
-                    attempt_payload["randomized_seed"] = reroute_seed
-                attempt_ctx: Optional[TraceContext] = None
-                attempt_start = 0.0
-                if tracing:
-                    attempt_ctx = root_ctx.child("attempt", attempt)
-                    attempt_start = obs.traces.tick()
-                    attempt_payload["traceparent"] = attempt_ctx.to_traceparent()
-                attempt_log.add(
-                    attempt=attempt + 1,
-                    span_id=attempt_ctx.span_id if attempt_ctx else "",
-                    delay=delay,
-                    randomized=reroute_seed is not None,
-                    reroute_seed=reroute_seed,
-                )
-                await self.transport.send(
-                    origin,
-                    Message(kind="route", sender=origin, payload=attempt_payload,
-                            traceparent=attempt_payload.get("traceparent")),
-                )
-                try:
-                    result = await asyncio.wait_for(
-                        asyncio.shield(future), attempt_timeout
-                    )
-                    if tracing:
-                        obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="delivered",
-                            randomized=reroute_seed is not None,
-                        )
-                        obs.traces.record(
-                            root_ctx, f"live.{op}",
-                            start=root_start, end=obs.traces.tick(),
-                            key=f"{payload['key']:x}", origin=f"{origin:x}",
-                            attempts=attempt + 1, outcome="ok",
-                        )
-                    return result
-                except asyncio.TimeoutError:
-                    if tracing:
-                        obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="timeout",
-                            randomized=reroute_seed is not None,
-                        )
-                    if attempt + 1 >= policy.attempts:
-                        break
-                    delay = policy.backoff(attempt + 1, self._backoff_rng)
-                    self._emit_retry(op, attempt + 1, delay, request_id)
-                    await asyncio.sleep(delay)
-            if tracing:
-                obs.traces.record(
-                    root_ctx, f"live.{op}",
-                    start=root_start, end=obs.traces.tick(),
-                    key=f"{payload['key']:x}", origin=f"{origin:x}",
-                    attempts=policy.attempts, outcome="degraded",
-                )
-            raise DegradedError(
-                op, policy.attempts, "no reply",
-                history=attempt_log.as_tuple(),
-                trace_id=attempt_log.trace_id,
-            )
-        finally:
-            pending = self._request_futures.pop(request_id, None)
-            if pending is not None and not pending.done():
-                pending.cancel()
+    def _new_node(self, node_id: int) -> LiveNode:
+        return LiveStorageNode(self, node_id, self.node_capacity)
 
     async def insert(self, certificate: FileCertificate, data: FileData,
                      origin: int) -> dict:
         """Insert a certified file from *origin*; returns the result
-        payload (success flag + holder list)."""
-        return await self._request(
-            origin,
+        payload (success flag + holder list).
+
+        Runs under the retry policy (see :meth:`LiveCluster._call`) as
+        one ``live.past-insert`` trace: routing hops, the root's replica
+        fan-out and every retry."""
+        return await self._call(
+            "past-insert", origin,
             {"key": certificate.storage_key(), "purpose": "past-insert",
-             "certificate": certificate, "data": data},
+             "certificate": certificate, "data": data, "client": origin},
         )
 
     async def lookup(self, file_id: int, origin: int) -> dict:
         """Look a file up from *origin*; the result payload carries the
-        certificate and data (None if not found)."""
+        certificate and data (None if not found).  One ``live.past-lookup``
+        trace, en-route serves included."""
         from repro.core.ids import storage_key
 
-        return await self._request(
-            origin,
+        return await self._call(
+            "past-lookup", origin,
             {"key": storage_key(file_id), "purpose": "past-lookup",
-             "file_id": file_id},
+             "file_id": file_id, "client": origin},
         )

@@ -163,29 +163,6 @@ class CostLedger:
             for category, cell in sorted(self._by_category.items())
         }
 
-    def window_rates(self, node_count: int) -> List[dict]:
-        """Per-window bytes/node/sim-second, one row per elapsed window.
-
-        Only windows that saw traffic appear (sparse); each row carries
-        the window's start time so gaps are explicit.
-        """
-        if node_count <= 0:
-            raise ValueError("node_count must be positive")
-        scale = node_count * self.window
-        rows = []
-        for index in sorted(self._windows):
-            bucket = self._windows[index]
-            rows.append(
-                {
-                    "start": round(index * self.window, 6),
-                    "by_category": {
-                        category: round(spent / scale, 6)
-                        for category, spent in sorted(bucket.items())
-                    },
-                }
-            )
-        return rows
-
     def snapshot(self) -> dict:
         """Deterministic full dump: every axis sorted, plain types only."""
         return {

@@ -265,9 +265,6 @@ class TraceCollector:
 
         return build(roots[0])
 
-    def assemble_all(self) -> List[Span]:
-        return [self.assemble(trace_id) for trace_id in self.trace_ids()]
-
     # ------------------------------------------------------------------ #
     # slow-op log
     # ------------------------------------------------------------------ #

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.live import InProcessTransport, LiveCluster, Message
+from repro.live.storage import LiveStorageCluster
 from repro.netsim.latency import UniformLatency
 
 
@@ -182,6 +183,25 @@ class TestLiveCluster:
         origin, key, path, root = run(scenario())
         assert path[0] == origin
         assert path[-1] == root
+
+    @pytest.mark.parametrize("cluster_class", [LiveCluster, LiveStorageCluster])
+    def test_live_nodes_gauge_tracks_live_ids(self, cluster_class):
+        """Both cluster flavours count their nodes on the way up, so the
+        gauge a kill decrements starts from the real membership."""
+
+        async def scenario():
+            cluster = cluster_class(seed=37)
+            await cluster.start(8, join_concurrency=4)
+            gauge = cluster.obs.metrics.gauge("live.nodes")
+            started = (gauge.value, len(cluster.live_ids()))
+            cluster.kill(cluster.live_ids()[0])
+            killed = (gauge.value, len(cluster.live_ids()))
+            await cluster.shutdown()
+            return started, killed
+
+        started, killed = run(scenario())
+        assert started == (8, 8)
+        assert killed == (7, 7)
 
     def test_minimum_size_validated(self):
         async def scenario():

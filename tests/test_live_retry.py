@@ -132,6 +132,36 @@ class TestRetryUnderLoss:
         assert found["data"].content_hash() == certificate.content_hash
 
 
+class TestInsertStateExpiry:
+    def test_completed_inserts_expire_with_the_pending_ttl(self, monkeypatch):
+        """A root keeps a finished insert's result only as long as the
+        client could still retry it; the same timer that expires a
+        stranded fan-out then drops the completed entry."""
+        monkeypatch.setattr("repro.live.storage.PENDING_INSERT_TTL", 0.05)
+
+        async def scenario():
+            cluster = LiveStorageCluster(seed=17)
+            await cluster.start(8, join_concurrency=4)
+            [(certificate, data)] = make_certs(1)
+            origin = cluster.live_ids()[0]
+            result = await cluster.insert(certificate, data, origin)
+            held = sum(
+                len(node._completed_inserts) for node in cluster.nodes.values()
+            )
+            await asyncio.sleep(0.2)
+            left = [
+                (len(node._completed_inserts), len(node._pending_inserts))
+                for node in cluster.nodes.values()
+            ]
+            await cluster.shutdown()
+            return result, held, left
+
+        result, held, left = run(scenario())
+        assert result["success"]
+        assert held == 1, "the test needs a completed entry to expire"
+        assert all(entry == (0, 0) for entry in left)
+
+
 class TestDeterministicBackoff:
     def test_backoff_sequence_is_a_function_of_the_seed(self):
         policy = RetryPolicy(attempts=6)
@@ -181,27 +211,33 @@ class TestExhaustion:
             with pytest.raises(DegradedError) as route_error:
                 await cluster.route(key, origin, timeout=0.3)
             [(certificate, data)] = make_certs(1)
+            # insert() without a timeout would wait out ROUTE_TIMEOUT;
+            # _call is the same path with the test's short budget.
             with pytest.raises(DegradedError) as insert_error:
-                await cluster._request(
-                    origin,
+                await cluster._call(
+                    "past-insert", origin,
                     {"key": certificate.storage_key(),
                      "purpose": "past-insert",
-                     "certificate": certificate, "data": data},
+                     "certificate": certificate, "data": data,
+                     "client": origin},
                     timeout=0.3,
                 )
             # The futures were reaped on the way out -- nothing to leak,
             # nothing for a late reply to trip over.
-            route_leaks = len(cluster._route_futures)
-            request_leaks = len(cluster._request_futures)
+            leaks = len(cluster._futures)
             cluster.transport.faults = None
             await cluster.shutdown()
-            return route_error.value, insert_error.value, route_leaks, request_leaks
+            return (route_error.value, insert_error.value, leaks,
+                    key, certificate.storage_key(), origin)
 
-        route_error, insert_error, route_leaks, request_leaks = run(scenario())
+        route_error, insert_error, leaks, key, insert_key, origin = run(scenario())
         assert route_error.attempts == 3
         assert insert_error.operation == "past-insert"
-        assert route_leaks == 0
-        assert request_leaks == 0
+        # Both operations degrade through the one retry path, so both
+        # errors name what was lost and where it was sent from.
+        assert f"key {key:x} from {origin:x}: no reply" in str(route_error)
+        assert f"key {insert_key:x} from {origin:x}: no reply" in str(insert_error)
+        assert leaks == 0
 
     def test_degraded_error_is_typed_and_informative(self):
         error = DegradedError("past-insert", 4, "no reply")
